@@ -20,10 +20,14 @@ import repro.graph.{Betweenness, ConnectedComponents, LocalGraph, MinCut}
   * expected per group); γ trades cut quality for speed.
   *
   * Distribution: operations on one component never affect another, so the
-  * paper's global argmax loop is equivalent to processing every initial
-  * component independently — a `groupByKey(component).flatMapGroups`
-  * dataflow where each task runs the two phases on its component's local
-  * edge list.
+  * paper's global argmax loop is equivalent to processing every component
+  * independently — a `groupByKey(component).flatMapGroups` dataflow where
+  * each task runs the two phases on its key's local edge list. The key may
+  * come from the closure of a superset of the edges (the pipeline passes
+  * the transitive closure of all positive predictions, of which Pre Graph
+  * Cleanup keeps a subset): every component of the edges lies inside one
+  * component of that closure, and each task splits its edges into their own
+  * components before cleaning them.
   */
 object GraLMatch {
 
@@ -31,9 +35,9 @@ object GraLMatch {
     require(gamma >= mu, s"gamma ($gamma) must be >= mu ($mu)")
   }
 
-  /** Per-component cleanup: returns the final record→group assignment of
-    * the component's vertices (group label = min record id of the
-    * subcomponent). Exposed for testing.
+  /** Cleans up every connected component of `edges`: returns the final
+    * record→group assignment of their vertices (group label = min record id
+    * of the subcomponent). Exposed for testing.
     *
     * @param maxLocalVertices safety valve: components larger than this are
     *                         returned unsplit (the Pre Graph Cleanup is
@@ -44,9 +48,18 @@ object GraLMatch {
       thresholds: Thresholds,
       maxLocalVertices: Int = 1500
   ): Seq[(Long, Long)] = {
-    var g = LocalGraph.fromEdges(edges)
-    if (g.numVertices > maxLocalVertices)
-      return g.components.flatMap(c => c.toSeq.map(_ -> c.min))
+    val whole = LocalGraph.fromEdges(edges)
+    whole.components
+      .flatMap { comp =>
+        if (comp.size > maxLocalVertices) Seq(comp)
+        else cleanupConnected(whole.subgraph(comp), thresholds)
+      }
+      .flatMap(c => c.toSeq.map(_ -> c.min))
+  }
+
+  /** Both phases of Algorithm 1 on one connected graph; returns its parts. */
+  private def cleanupConnected(g0: LocalGraph, thresholds: Thresholds): Seq[Set[Long]] = {
+    var g = g0
 
     // Phase 1: minimum edge cut until every subcomponent is <= gamma.
     var guard = g.numEdges + 1
@@ -70,7 +83,7 @@ object GraLMatch {
       big = g.components.filter(_.size > thresholds.mu)
     }
 
-    g.components.flatMap(c => c.toSeq.map(_ -> c.min))
+    g.components
   }
 
   /** Runs the cleanup over the full prediction graph.
@@ -85,11 +98,26 @@ object GraLMatch {
       edges: DataFrame,
       thresholds: Thresholds,
       vertices: Option[DataFrame] = None
+  ): DataFrame =
+    run(spark, edges, thresholds, ConnectedComponents.run(spark, edges, vertices))
+
+  /** Runs the cleanup with a given component assignment.
+    *
+    * @param edges  positive predictions (`src`, `dst`)
+    * @param assign `(id, component)` of every record to assign, from the
+    *               connected components of `edges` or of a superset of
+    *               them; records without any edge become singleton groups
+    * @return `(id, group)` — the final entity group assignment
+    */
+  def run(
+      spark: SparkSession,
+      edges: DataFrame,
+      thresholds: Thresholds,
+      assign: DataFrame
   ): DataFrame = {
     import spark.implicits._
 
     val e = edges.select(col("src").cast("long"), col("dst").cast("long")).distinct()
-    val assign = ConnectedComponents.run(spark, e)
 
     val byComp = e
       .join(assign.withColumnRenamed("id", "src"), "src")
@@ -104,13 +132,8 @@ object GraLMatch {
       }
       .toDF("id", "group")
 
-    vertices match {
-      case None => cleaned
-      case Some(v) =>
-        val all = v.select(col("id").cast("long"))
-        val missing = all.join(cleaned, Seq("id"), "left_anti")
-          .select(col("id"), col("id").as("group"))
-        cleaned.unionByName(missing)
-    }
+    val missing = assign.select(col("id")).join(cleaned, Seq("id"), "left_anti")
+      .select(col("id"), col("id").as("group"))
+    cleaned.unionByName(missing)
   }
 }

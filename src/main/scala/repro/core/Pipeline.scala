@@ -11,6 +11,11 @@ import repro.matcher.PairwiseMatcher.RecordSchema
   * blocking candidates → pairwise model → Pre Graph Cleanup → GraLMatch
   * Graph Cleanup → entity groups, with the three evaluation stages of
   * §5.3.2 snapshotted along the way.
+  *
+  * The one distributed connected-components pass is the stage-2 transitive
+  * closure. Pre Graph Cleanup and GraLMatch both take their components from
+  * it: both only remove edges, so every final group lies inside one stage-2
+  * component.
   */
 object Pipeline {
 
@@ -75,9 +80,9 @@ object Pipeline {
     val (preScores, prePurity) = Metrics.scoreGroups(preAssign, records)
 
     // ---- stage 3: Pre Graph Cleanup + GraLMatch -----------------------
-    val kept = PreCleanup.run(spark, positives, preCleanupMax)
+    val kept = PreCleanup.run(positives, preAssign, preCleanupMax)
     val groups = GraLMatch
-      .run(spark, kept.select("src", "dst"), thresholds, Some(allIds))
+      .run(spark, kept, thresholds, preAssign)
       .withColumnRenamed("group", "component")
       .cache()
     val (postScores, postPurity) = Metrics.scoreGroups(groups, records)

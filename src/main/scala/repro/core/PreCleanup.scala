@@ -14,6 +14,10 @@ import repro.graph.ConnectedComponents
   * GraLMatch cleanup, all positively predicted matches whose *only* blocking
   * provenance is Token Overlap are removed from connected components larger
   * than `maxComponent` (50 in the paper) records.
+  *
+  * The component sizes come from the transitive closure of the edges; the
+  * pipeline passes the closure it has already computed for its stage-2
+  * scores.
   */
 object PreCleanup {
 
@@ -25,8 +29,16 @@ object PreCleanup {
       spark: SparkSession,
       edges: DataFrame,
       maxComponent: Int = 50
-  ): DataFrame = {
-    val assign = ConnectedComponents.run(spark, edges.select("src", "dst"))
+  ): DataFrame =
+    run(edges, ConnectedComponents.run(spark, edges.select("src", "dst")), maxComponent)
+
+  /** @param edges  positive predictions with `src`, `dst` and a `blockings`
+    *               array column (the provenance of the candidate pair)
+    * @param assign `(id, component)`: the connected components of `edges`
+    *               (records without an edge may appear as singletons)
+    * @return the retained edges (same schema)
+    */
+  def run(edges: DataFrame, assign: DataFrame, maxComponent: Int): DataFrame = {
     val compSize = assign.groupBy("component").agg(count(lit(1)).as("size"))
     val bigComps = compSize.where(col("size") > maxComponent).select("component")
     val compOf = assign

@@ -5,9 +5,9 @@ import org.apache.spark.sql.functions._
 
 /** Distributed connected components over a DataFrame edge list.
   *
-  * Group assignment in GraLMatch is "output the connected components of the
-  * (cleaned-up) prediction graph" — this is the distributed dataflow
-  * implementation used at every stage of the pipeline.
+  * The pipeline runs it once, for the transitive closure of the positive
+  * predictions; Pre Graph Cleanup and GraLMatch take their components from
+  * that closure, because both only remove edges.
   *
   * Algorithm: iterative minimum-label propagation with pointer jumping.
   * Every vertex holds a candidate component label (initially its own id).

@@ -33,10 +33,6 @@ final class LocalGraph private (
 
   def neighbors(v: Long): Set[Long] = adj.getOrElse(v, Set.empty)
 
-  def degree(v: Long): Int = neighbors(v).size
-
-  def containsEdge(u: Long, v: Long): Boolean = neighbors(u).contains(v)
-
   /** Connected components via BFS; deterministic order (by smallest member). */
   def components: Seq[Set[Long]] = {
     val seen = mutable.Set.empty[Long]

@@ -60,6 +60,12 @@ class GraLMatchSpec extends SparkSpec {
     assert(groupsOf(out) == Set((1L to 8L).toSet))
   }
 
+  test("safety valve applies per component of a disconnected input") {
+    val path = Seq(20L -> 21L, 21L -> 22L)
+    val out = GraLMatch.cleanupComponent(barbell ++ path, Thresholds(25, 5), maxLocalVertices = 8)
+    assert(groupsOf(out) == Set(Set(1L, 2L, 3L, 4L), Set(5L, 6L, 7L, 8L), Set(20L, 21L, 22L)))
+  }
+
   test("all vertices of the input are assigned exactly once") {
     val out = GraLMatch.cleanupComponent(barbell, Thresholds(5, 5))
     assert(out.map(_._1).sorted == (1L to 8L))

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.blocking.{Blocking, IdOverlapBlocking, TokenOverlapBlocking}
@@ -30,10 +31,12 @@ class PipelineSpec extends SparkSpec {
     (secs, cands, model)
   }
 
+  private val thresholds = GraLMatch.Thresholds(gamma = 25, mu = 5)
+
   private lazy val result = {
     val (secs, cands, model) = fixtures
     Pipeline.run(spark, secs, cands, model, RecordSchema.Securities,
-      Serializer.Plain, 128, GraLMatch.Thresholds(gamma = 25, mu = 5))
+      Serializer.Plain, 128, thresholds)
   }
 
   test("pipeline produces candidates and positive predictions") {
@@ -58,9 +61,9 @@ class PipelineSpec extends SparkSpec {
     assert(result.groups.select("id").distinct().count() == n)
   }
 
-  test("no final group exceeds mu... unless it was protected by gamma split") {
+  test("no final group exceeds mu") {
     val sizes = result.groups.groupBy("group").count().select("count").as[Long].collect()
-    assert(sizes.max <= 25, s"max group size ${sizes.max}")
+    assert(sizes.max <= 5, s"max group size ${sizes.max}")
   }
 
   test("cluster purity is high after cleanup") {
@@ -74,5 +77,26 @@ class PipelineSpec extends SparkSpec {
 
   test("stage-2 recall >= stage-1 recall (transitive closure adds matches)") {
     assert(result.preCleanup.scores.recall >= result.pairwise.recall - 1e-9)
+  }
+
+  test("one closure gives the groups of Pre Graph Cleanup then GraLMatch, each with its own") {
+    val (secs, cands, model) = fixtures
+    val preCleanupMax = 2
+    val pairs = cands.groupBy("src", "dst").agg(collect_set(col("blocking")).as("blockings"))
+    val featurized = PairwiseMatcher.featurize(
+      pairs, secs, RecordSchema.Securities, Serializer.Plain, 128)
+    val positives = PairwiseMatcher.predict(model, featurized)
+      .where(col("pred")).select(col("src"), col("dst"), col("blockings")).cache()
+    val kept = PreCleanup.run(spark, positives, preCleanupMax)
+    assert(kept.count() < positives.count(), "Pre Graph Cleanup dropped no edge")
+
+    val allIds = secs.select(col("recordId").as("id"))
+    def assignment(groups: DataFrame): Set[(Long, Long)] =
+      groups.select(col("id").cast("long"), col("group").cast("long")).as[(Long, Long)]
+        .collect().toSet
+    val reference = GraLMatch.run(spark, kept.select("src", "dst"), thresholds, Some(allIds))
+    val piped = Pipeline.run(spark, secs, cands, model, RecordSchema.Securities,
+      Serializer.Plain, 128, thresholds, preCleanupMax)
+    assert(assignment(piped.groups) == assignment(reference))
   }
 }

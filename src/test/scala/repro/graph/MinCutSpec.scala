@@ -113,7 +113,7 @@ class MinCutSpec extends AnyFunSuite with Props {
 
   test("property: cut size is at most the minimum degree") {
     checkProp(Prop.forAll(smallConnectedGraph) { gr =>
-      MinCut.minimumEdgeCut(gr).size <= gr.vertices.map(gr.degree).min
+      MinCut.minimumEdgeCut(gr).size <= gr.vertices.map(gr.neighbors(_).size).min
     })
   }
 }
